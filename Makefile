@@ -9,9 +9,13 @@ check: build vet lint test race
 build:
 	go build ./...
 
+# gofmt -l lists files out of format; any listed file fails the target.
 # The shadow analyzer ships outside the stdlib toolchain; run it when the
 # binary is installed, stay quiet (but honest) when it is not.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: files need formatting (run gofmt -w):"; echo "$$unformatted"; exit 1; \
+	fi
 	go vet ./...
 	@if command -v shadow >/dev/null 2>&1; then \
 		go vet -vettool=$$(command -v shadow) ./...; \
@@ -70,7 +74,7 @@ chaos-scale:
 # Short coverage-guided fuzz pass over every Fuzz* target (the checked-in
 # seed corpora always run in plain `make test`; this explores beyond them).
 # `go test -fuzz` takes exactly one target per invocation, hence the loop.
-FUZZ_PKGS := ./internal/crdt ./internal/fabric
+FUZZ_PKGS := ./internal/crdt ./internal/fabric ./internal/transport
 FUZZ_TIME := 10s
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \

@@ -20,7 +20,14 @@
 // never inspects them. With -engine ot the daemon runs the authoritative
 // integration site per document: it applies client submissions to a
 // server-side replica and publishes the resulting commits back into the
-// log via PostLocal, authored as session.HostAuthor.
+// log via PostLocal, authored as session.HostAuthor. The session host
+// sends each member one frame per submit: the other members get the
+// relayed submit and its commit together, the author the commit alone.
+//
+// The daemon logs each participant's hello. With -v it also logs every
+// frame sent and received and every accepted session item; without it the
+// per-item path writes nothing, so logging costs no syscalls per edit.
+// SIGINT or SIGTERM closes the endpoint and exits.
 //
 // The daemon serves every document (session key) by default. In a sharded
 // deployment, run one daemon per ordering domain with the same -shards
@@ -32,9 +39,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 
 	"repro/internal/engine"
 	"repro/internal/fabric"
@@ -44,16 +54,21 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], os.Stdout, log.Default(), stop); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(args []string) error {
+// run serves until stop delivers a signal or is closed, then closes the
+// endpoint. The banner naming the bound address goes to stdout, log lines
+// to logger.
+func run(args []string, stdout io.Writer, logger *log.Logger, stop <-chan os.Signal) error {
 	fs := flag.NewFlagSet("sessiond", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7480", "listen address")
 	modeFlag := fs.String("mode", "sync", "session mode: sync or async")
-	verbose := fs.Bool("v", false, "log every frame sent and received")
+	verbose := fs.Bool("v", false, "log every frame sent and received and every session item")
 	codecFlag := fs.String("codec", "json", "wire codec: json or binary")
 	engFlag := fs.String("engine", engine.CRDT, "convergence engine for eng/op items: crdt (pure relay) or ot (daemon integrates)")
 	shards := fs.Int("shards", 1, "ordering domains documents are routed across")
@@ -72,12 +87,6 @@ func run(args []string) error {
 		return fmt.Errorf("sessiond: unknown engine %q (ot or crdt)", *engFlag)
 	}
 
-	book := transport.NewAddressBook()
-	tep, err := transport.ListenTCP("host", *listen, book)
-	if err != nil {
-		return err
-	}
-
 	reg := session.NewWireCodec()
 	fabric.RegisterBase(reg)
 	var codec fabric.PayloadCodec = reg
@@ -89,18 +98,24 @@ func run(args []string) error {
 		return fmt.Errorf("sessiond: unknown codec %q (json or binary)", *codecFlag)
 	}
 
+	book := transport.NewAddressBook()
+	tep, err := transport.ListenTCP("host", *listen, book)
+	if err != nil {
+		return err
+	}
+
 	// Middleware stack: hello interception (address-book registration) and,
 	// with -v, a trace of every frame.
 	mws := []fabric.Middleware{
 		fabric.Tap(nil, func(from string, payload any, size int) {
 			if h, ok := payload.(*fabric.Hello); ok && h.Addr != "" {
 				book.Set(from, h.Addr)
-				log.Printf("hello from %s at %s", from, h.Addr)
+				logger.Printf("hello from %s at %s", from, h.Addr)
 			}
 		}),
 	}
 	if *verbose {
-		mws = append(mws, fabric.Logging(log.Printf))
+		mws = append(mws, fabric.Logging(logger.Printf))
 	}
 	ep := fabric.Wrap(fabric.FromTransport(tep, codec), mws...)
 	defer ep.Close()
@@ -129,7 +144,7 @@ func run(args []string) error {
 	integrate := func(doc string, it session.Item) {
 		to, payload, err := engine.DecodeItemBody(engCodec, it.Body)
 		if err != nil {
-			log.Printf("engine: bad eng/op from %s: %v", it.From, err)
+			logger.Printf("engine: bad eng/op from %s: %v", it.From, err)
 			return
 		}
 		if to != "" && to != session.HostAuthor {
@@ -142,7 +157,7 @@ func run(args []string) error {
 			d, err = engine.New(engine.OT, doc, session.HostAuthor, session.HostAuthor)
 			if err != nil {
 				engMu.Unlock()
-				log.Printf("engine: %v", err)
+				logger.Printf("engine: %v", err)
 				return
 			}
 			engDocs[doc] = d
@@ -150,31 +165,34 @@ func run(args []string) error {
 		out, err := d.Apply(it.From, payload)
 		engMu.Unlock()
 		if err != nil {
-			log.Printf("engine: applying %T from %s: %v", payload, it.From, err)
+			logger.Printf("engine: applying %T from %s: %v", payload, it.From, err)
 			return
 		}
 		h := host.Host(doc)
 		for _, m := range out {
 			body, err := engine.EncodeItemBody(engCodec, m)
 			if err != nil {
-				log.Printf("engine: %v", err)
+				logger.Printf("engine: %v", err)
 				return
 			}
 			h.PostLocal(engine.ItemKind, body)
 		}
 	}
 	host.OnItem = func(doc string, it session.Item) {
-		name := doc
-		if name == "" {
-			name = "(unnamed)"
+		if *verbose {
+			name := doc
+			if name == "" {
+				name = "(unnamed)"
+			}
+			logger.Printf("item %s#%d from %s (%s): %s", name, it.Seq, it.From, it.Kind, it.Body)
 		}
-		log.Printf("item %s#%d from %s (%s): %s", name, it.Seq, it.From, it.Kind, it.Body)
 		if *engFlag == engine.OT && it.Kind == engine.ItemKind && it.From != session.HostAuthor {
 			integrate(doc, it)
 		}
 	}
 
-	fmt.Printf("sessiond listening on %s (%s mode, %s codec, %s engine, domain %s of %d)\n",
+	fmt.Fprintf(stdout, "sessiond listening on %s (%s mode, %s codec, %s engine, domain %s of %d)\n",
 		tep.Addr(), mode, *codecFlag, *engFlag, route.DomainName(*shard), *shards)
-	select {} // serve until killed
+	<-stop
+	return nil
 }

@@ -37,3 +37,19 @@ func MulticastAllocsPerOp(o MulticastOptions, ops int) float64 {
 	})
 	return total / float64(ops)
 }
+
+// SessionPostAllocsPerOp measures heap allocations per synchronous session
+// post and push on SessionPostBench's rig and workload, so the number is
+// comparable to that benchmark's allocs/op.
+func SessionPostAllocsPerOp(seed int64, ops int) float64 {
+	sim, poster, _, err := sessionPostRig(seed)
+	if err != nil {
+		panic(err)
+	}
+	total := testing.AllocsPerRun(3, func() {
+		if err := postN(sim, poster, ops); err != nil {
+			panic(err)
+		}
+	})
+	return total / float64(ops)
+}

@@ -27,3 +27,17 @@ func TestBatchedMulticastAllocBudget(t *testing.T) {
 		t.Errorf("batched multicast allocates %.3f/op, budget %.1f — a per-message allocation crept back into the hot path", got, budget)
 	}
 }
+
+// TestSessionPostAllocBudget pins the session post path's allocation count.
+// A push costs its MsgItems and item slice but no per-send closure: the
+// host's outbox queues sends in a reused slice behind one prebuilt flush
+// callback, which took the path from 8 allocs/op to 7. A reintroduced
+// per-send allocation adds at least 1/op.
+func TestSessionPostAllocBudget(t *testing.T) {
+	const budget = 7.5
+	got := SessionPostAllocsPerOp(1, 4096)
+	t.Logf("session post: %.3f allocs/op (budget %.1f)", got, budget)
+	if got > budget {
+		t.Errorf("session post allocates %.3f/op, budget %.1f — a per-send allocation crept back into the host", got, budget)
+	}
+}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -183,38 +184,57 @@ func OTBench(clients int) func(b *testing.B) {
 // participant.
 func SessionPostBench(seed int64) func(b *testing.B) {
 	return func(b *testing.B) {
-		sim := netsim.New(seed, netsim.LocalLink)
-		session.NewHost(fabric.FromSim(sim.MustAddNode("host")), session.Synchronous, sim.Now)
-		poster := session.NewClient(fabric.FromSim(sim.MustAddNode("poster")), "host")
-		got := 0
-		watcher := session.NewClient(fabric.FromSim(sim.MustAddNode("watcher")), "host")
-		watcher.OnItem = func(session.Item) { got++ }
-		if err := poster.Join(0); err != nil {
+		sim, poster, got, err := sessionPostRig(seed)
+		if err != nil {
 			b.Fatal(err)
-		}
-		if err := watcher.Join(0); err != nil {
-			b.Fatal(err)
-		}
-		sim.Run()
-		if !poster.Joined() || !watcher.Joined() {
-			b.Fatal("join failed")
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := poster.Post("bench", "x", 0); err != nil {
-				b.Fatal(err)
-			}
-			if i%1024 == 1023 {
-				sim.Run()
-			}
+		if err := postN(sim, poster, b.N); err != nil {
+			b.Fatal(err)
 		}
-		sim.Run()
 		b.StopTimer()
-		if got != b.N {
-			b.Fatalf("watcher saw %d of %d posts", got, b.N)
+		if *got != b.N {
+			b.Fatalf("watcher saw %d of %d posts", *got, b.N)
 		}
 	}
+}
+
+// sessionPostRig joins a poster and a counting watcher to a synchronous
+// host over the simulator.
+func sessionPostRig(seed int64) (*netsim.Sim, *session.Client, *int, error) {
+	sim := netsim.New(seed, netsim.LocalLink)
+	session.NewHost(fabric.FromSim(sim.MustAddNode("host")), session.Synchronous, sim.Now)
+	poster := session.NewClient(fabric.FromSim(sim.MustAddNode("poster")), "host")
+	got := new(int)
+	watcher := session.NewClient(fabric.FromSim(sim.MustAddNode("watcher")), "host")
+	watcher.OnItem = func(session.Item) { *got++ }
+	if err := poster.Join(0); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := watcher.Join(0); err != nil {
+		return nil, nil, nil, err
+	}
+	sim.Run()
+	if !poster.Joined() || !watcher.Joined() {
+		return nil, nil, nil, errors.New("session post rig: join failed")
+	}
+	return sim, poster, got, nil
+}
+
+// postN posts n items, draining the simulator every 1024 posts and at the
+// end.
+func postN(sim *netsim.Sim, poster *session.Client, n int) error {
+	for i := 0; i < n; i++ {
+		if err := poster.Post("bench", "x", 0); err != nil {
+			return err
+		}
+		if i%1024 == 1023 {
+			sim.Run()
+		}
+	}
+	sim.Run()
+	return nil
 }
 
 // CodecRoundTripBench returns a benchmark of one encode+decode through a

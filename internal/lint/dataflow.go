@@ -35,9 +35,9 @@ type defUse struct {
 	g *cfg
 	p *Package
 
-	blockDefs map[*cfgBlock][]*defInfo          // defs per block, in order
+	blockDefs map[*cfgBlock][]*defInfo                  // defs per block, in order
 	in        map[*cfgBlock]map[types.Object][]*defInfo // defs reaching block entry
-	nodeBlock []nodeInterval                    // shallow node -> owning block
+	nodeBlock []nodeInterval                            // shallow node -> owning block
 }
 
 type nodeInterval struct {

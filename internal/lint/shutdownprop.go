@@ -171,10 +171,16 @@ func (v *shutdownScan) loopEscape(p *Package, f *modFunc, body *ast.BlockStmt) b
 // closableCall reports whether a call blocks on something whose Close (or
 // unexported close) elsewhere in the module will unblock it: a method on a
 // net conn/listener or os.File, a method on a field the module stops, or a
-// call passing such a value as an argument (readFrame(conn)).
+// call passing such a value as an argument (readFrame(conn)). A local
+// bufio.Reader over such a value counts as the value itself
+// (br := bufio.NewReader(conn); readFrame(br) or br.ReadByte()): its reads
+// fail once the conn is closed.
 func (v *shutdownScan) closableCall(p *Package, f *modFunc, call *ast.CallExpr) bool {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if s := p.Info.Selections[sel]; s != nil && isNetOrFileType(s.Recv()) {
+			return true
+		}
+		if bufferedClosable(p, f, sel.X) {
 			return true
 		}
 		if fieldSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
@@ -187,8 +193,62 @@ func (v *shutdownScan) closableCall(p *Package, f *modFunc, call *ast.CallExpr) 
 		if t := typeOf(p, a); t != nil && isNetOrFileType(t) {
 			return true
 		}
+		if bufferedClosable(p, f, a) {
+			return true
+		}
 	}
 	return false
+}
+
+// bufferedClosable reports whether e is a local variable that f assigns
+// from bufio.NewReader or bufio.NewReaderSize over a net conn or os.File.
+// The match is flow-insensitive: any such assignment in f counts.
+func bufferedClosable(p *Package, f *modFunc, e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	obj := p.Info.Uses[id]
+	if obj == nil {
+		return false
+	}
+	closableInit := func(lhs *ast.Ident, rhs ast.Expr) bool {
+		if p.Info.Defs[lhs] != obj && p.Info.Uses[lhs] != obj {
+			return false
+		}
+		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return false
+		}
+		if name, ok := pkgFuncCall(p, call, "bufio"); !ok || (name != "NewReader" && name != "NewReaderSize") {
+			return false
+		}
+		t := typeOf(p, call.Args[0])
+		return t != nil && isNetOrFileType(t)
+	}
+	found := false
+	ast.Inspect(f.decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					if l, ok := lhs.(*ast.Ident); ok && closableInit(l, n.Rhs[i]) {
+						found = true
+					}
+				}
+			}
+		case *ast.ValueSpec:
+			if len(n.Names) == len(n.Values) {
+				for i, name := range n.Names {
+					if closableInit(name, n.Values[i]) {
+						found = true
+					}
+				}
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // isCtxCheck matches ctx.Done() / ctx.Err() on a context.Context receiver.

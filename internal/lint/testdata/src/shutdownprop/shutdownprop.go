@@ -6,7 +6,9 @@
 package shutdownprop
 
 import (
+	"bufio"
 	"context"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -137,4 +139,64 @@ func (t *tail) run() {
 func (t *tail) Close() {
 	_ = t.f.Close()
 	t.wg.Wait()
+}
+
+// --- buffered closable I/O -----------------------------------------------
+
+type reader struct {
+	wg  sync.WaitGroup
+	c   *os.File  // a net.Conn reads the same way; this package may not import net
+	src io.Reader // not closable: nothing the owner does unblocks it
+}
+
+// readLine stands in for a frame decoder that takes any io.Reader.
+func readLine(r *bufio.Reader) (string, error) { return r.ReadString('\n') }
+
+// runBuffered reads the file through a bufio.Reader handed to a decoder:
+// Close on the file fails the buffered read just as it fails a raw one.
+func (r *reader) runBuffered() {
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		br := bufio.NewReader(r.c)
+		for {
+			if _, err := readLine(br); err != nil {
+				return
+			}
+		}
+	}()
+}
+
+// runBufferedMethod blocks in a method of the bufio.Reader itself.
+func (r *reader) runBufferedMethod() {
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		var br = bufio.NewReaderSize(r.c, 1<<12)
+		for {
+			if _, err := br.ReadByte(); err != nil {
+				return
+			}
+		}
+	}()
+}
+
+// badBuffered buffers a reader nothing closes: wrapping it in bufio does
+// not make it stoppable.
+func (r *reader) badBuffered() {
+	r.wg.Add(1)
+	go func() { // want "shutdown-prop.*goroutine spawned by badBuffered loops forever with no reachable stop signal"
+		defer r.wg.Done()
+		br := bufio.NewReader(r.src)
+		for {
+			if _, err := readLine(br); err != nil {
+				return
+			}
+		}
+	}()
+}
+
+func (r *reader) Close() {
+	_ = r.c.Close()
+	r.wg.Wait()
 }

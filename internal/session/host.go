@@ -21,6 +21,16 @@ type partState struct {
 	id       string
 	presence Presence
 	acked    uint64 // highest sequence number delivered (push or poll)
+	// lastOut is 1 + the absolute outbox position of this peer's latest
+	// queued message; it is still unsent while lastOut > Host.outBase.
+	lastOut uint64
+}
+
+// outMsg is one queued endpoint send.
+type outMsg struct {
+	to      string
+	payload any
+	size    int
 }
 
 // Host is the session coordinator. It claims its endpoint's handler at
@@ -34,6 +44,16 @@ type Host struct {
 	mu       sync.Mutex
 	cbs      []func()
 	flushing bool
+
+	// The outbox: sends queued under mu and delivered in order by flushOut,
+	// which runs once as a callback per batch of queued sends. out and
+	// outSpare alternate as its backing array; outBase counts the messages
+	// already taken by a flush.
+	out         []outMsg
+	outSpare    []outMsg
+	outBase     uint64
+	flushQueued bool
+	flushFn     func() // h.flushOut, built once so queueing it never allocates
 
 	mode  Mode
 	log   []Item
@@ -63,13 +83,15 @@ func NewHost(ep fabric.Endpoint, mode Mode, clock func() time.Duration) *Host {
 // outbound messages are stamped with doc; inbound messages for other
 // documents are ignored.
 func NewDocHost(ep fabric.Endpoint, mode Mode, clock func() time.Duration, doc string) *Host {
-	return &Host{
+	h := &Host{
 		ep:    ep,
 		doc:   doc,
 		mode:  mode,
 		parts: make(map[string]*partState),
 		clock: clock,
 	}
+	h.flushFn = h.flushOut
+	return h
 }
 
 // Doc returns the document key this host serves ("" for the unnamed
@@ -189,7 +211,7 @@ func (h *Host) onJoin(m MsgJoin) {
 	backlog := withoutFrom(h.itemsAfter(m.Since), m.From)
 	p.acked = h.seq
 	ack := &MsgJoinAck{Mode: h.mode, Backlog: backlog, Members: h.members()}
-	h.send(m.From, ack, len(backlog)*32+64)
+	h.send(p, ack, len(backlog)*32+64)
 	// Tell the others someone arrived (presence awareness).
 	h.fanout(&MsgPresence{From: m.From, State: p.presence}, m.From)
 }
@@ -216,7 +238,7 @@ func (h *Host) onPresence(m MsgPresence) {
 		missed := withoutFrom(h.itemsAfter(p.acked), m.From)
 		if len(missed) > 0 {
 			h.stats.FlushServes += len(missed)
-			h.send(m.From, &MsgItems{Items: missed}, len(missed)*32+64)
+			h.send(p, &MsgItems{Items: missed}, len(missed)*32+64)
 		}
 		p.acked = h.seq
 	}
@@ -272,7 +294,7 @@ func (h *Host) appendItem(from, kind, body string) {
 		}
 		h.stats.Pushes++
 		p.acked = it.Seq
-		h.send(id, &MsgItems{Items: []Item{it}}, len(it.Body)+64)
+		h.send(p, &MsgItems{Items: []Item{it}}, len(it.Body)+64)
 	}
 }
 
@@ -284,7 +306,7 @@ func (h *Host) onPoll(m MsgPoll) {
 	items := withoutFrom(h.itemsAfter(m.Since), m.From)
 	h.stats.PollServes += len(items)
 	p.acked = h.seq
-	h.send(m.From, &MsgItems{Items: items}, len(items)*32+64)
+	h.send(p, &MsgItems{Items: items}, len(items)*32+64)
 }
 
 // SetMode switches the session mode. An asynchronous-to-synchronous switch
@@ -312,7 +334,7 @@ func (h *Host) SetMode(mode Mode) {
 			}
 			h.stats.FlushServes += len(missed)
 			p.acked = h.seq
-			h.send(id, &MsgItems{Items: missed}, len(missed)*32+64)
+			h.send(p, &MsgItems{Items: missed}, len(missed)*32+64)
 		}
 	}
 	h.runCallbacks()
@@ -368,20 +390,57 @@ func (h *Host) fanout(payload any, except string) {
 		if id == except || p.presence == Offline {
 			continue
 		}
-		h.send(id, payload, 64)
+		h.send(p, payload, 64)
 	}
 }
 
-// send queues a delivery on the callback queue, so the actual endpoint
-// Send runs after h.mu is released (a Send can block over a real
-// transport; holding the lock across it invites distributed deadlock —
-// cscwlint's block-lock rule enforces the discipline). Queued sends flush
-// in order, preserving the per-peer FIFO the clients rely on.
-func (h *Host) send(to string, payload any, size int) {
+// send queues a delivery to participant p in the outbox, which flushes through the callback
+// queue, so the actual endpoint Send runs after h.mu is released (a Send
+// can block over a real transport; holding the lock across it invites
+// distributed deadlock — cscwlint's block-lock rule enforces the
+// discipline). Queued sends flush in order, preserving the per-peer FIFO
+// the clients rely on.
+//
+// A *MsgItems for a peer whose latest queued message is a still-unsent
+// *MsgItems joins that message instead of starting a new one, so one host
+// reaction costs each peer one frame: an OT commit posted from OnItem
+// rides with the submit it answers.
+func (h *Host) send(p *partState, payload any, size int) {
 	h.stamp(payload)
-	h.cbs = append(h.cbs, func() {
+	if m, ok := payload.(*MsgItems); ok && p.lastOut > h.outBase {
+		e := &h.out[p.lastOut-h.outBase-1]
+		if prev, ok := e.payload.(*MsgItems); ok {
+			prev.Items = append(prev.Items, m.Items...)
+			e.size += size
+			return
+		}
+	}
+	h.out = append(h.out, outMsg{to: p.id, payload: payload, size: size})
+	p.lastOut = h.outBase + uint64(len(h.out))
+	if !h.flushQueued {
+		h.flushQueued = true
+		h.cbs = append(h.cbs, h.flushFn)
+	}
+}
+
+// flushOut delivers the outbox. It runs from the callback queue, outside
+// h.mu, and only one runCallbacks drains at a time, so outSpare is never
+// in use when taken.
+func (h *Host) flushOut() {
+	h.mu.Lock()
+	out := h.out
+	h.out = h.outSpare[:0]
+	h.outSpare = nil
+	h.outBase += uint64(len(out))
+	h.flushQueued = false
+	h.mu.Unlock()
+	for i := range out {
 		// Transient send failures (partitions, disconnected mobiles) surface
 		// as missed pushes; the poll path recovers them, so drop silently.
-		_ = h.ep.Send(to, payload, size)
-	})
+		_ = h.ep.Send(out[i].to, out[i].payload, out[i].size)
+	}
+	clear(out) // drop payload references before recycling
+	h.mu.Lock()
+	h.outSpare = out[:0]
+	h.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -121,8 +122,12 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		delete(e.accepted, c)
 		e.mu.Unlock()
 	}()
+	// Buffered reads take a frame's header and body, and often the frames
+	// queued behind it, in one read call; readFrame still allocates each
+	// payload afresh, so handlers may keep it.
+	br := bufio.NewReader(c)
 	for {
-		from, payload, err := readFrame(c)
+		from, payload, err := readFrame(br)
 		if err != nil {
 			return
 		}
